@@ -229,7 +229,7 @@ func SynthesizeContext(ctx context.Context, m *vhif.Module, opts Options) (*Resu
 		s.runParallel()
 	} else {
 		s.stats.Workers, s.stats.Tasks = 1, 1
-		s.run()
+		s.run(0)
 	}
 	if s.truncated && s.best == nil {
 		// Anytime fallback: the search was cut off before its first
@@ -245,7 +245,7 @@ func SynthesizeContext(ctx context.Context, m *vhif.Module, opts Options) (*Resu
 		// (it stops at the first complete mapping, so it stays cheap).
 		gopts.MaxNodes = 1 << 22
 		g := newSearch(m, gopts)
-		g.run()
+		g.run(0)
 		s.best, s.bestArea = g.best, g.bestArea
 		s.stats.NodesVisited += g.stats.NodesVisited
 		s.stats.CompleteMappings += g.stats.CompleteMappings
@@ -278,9 +278,9 @@ func SynthesizeContext(ctx context.Context, m *vhif.Module, opts Options) (*Resu
 }
 
 // newSearch builds a search over the module: the block visitation order,
-// the memoized per-block pattern matches (the candidate lists depend only
-// on the block, never on the covering state, so they are computed once and
-// shared read-only by every worker), and the bounding floors.
+// the memoized per-block candidates (the candidate lists depend only on the
+// block, never on the covering state, so they are computed once and shared
+// read-only by every worker), and the bounding floors.
 func newSearch(m *vhif.Module, opts Options) *search {
 	s := &search{
 		m:             m,
@@ -288,8 +288,6 @@ func newSearch(m *vhif.Module, opts Options) *search {
 		floorGeneral:  estimate.MinArea(opts.Process),
 		floorDecision: estimate.MinOTAArea(opts.Process),
 		bestArea:      inf,
-		covered:       map[*vhif.Block]*alloc{},
-		costOf:        map[string]cellCost{},
 	}
 	if opts.Objective == MinimizePower {
 		// Class floors in watts: the minimum-bias designs of each topology.
@@ -297,33 +295,75 @@ func newSearch(m *vhif.Module, opts Options) *search {
 		s.floorDecision = 2e-6 * opts.Process.Vdd // one minimum tail current
 	}
 	s.order = blockOrder(m)
-	s.matchTab = make(map[*vhif.Block][]*patterns.Match, len(s.order))
-	for _, b := range s.order {
-		g := graphOf(m, b)
-		ms := patterns.MatchesFor(g, b, opts.Patterns)
+	graphOf := map[*vhif.Block]*vhif.Graph{}
+	for _, g := range m.Graphs {
+		for _, b := range g.Blocks {
+			if graphOf[b] == nil {
+				graphOf[b] = g
+			}
+		}
+	}
+	// Ordinals: the visitation order first, then any other block a match
+	// covers, so coverage is a slice indexed by ordinal.
+	ordOf := make(map[*vhif.Block]int32, len(s.order))
+	for i, b := range s.order {
+		ordOf[b] = int32(i)
+	}
+	sigID := map[string]int32{}
+	s.matchTab = make([][]cand, len(s.order))
+	for bi, b := range s.order {
+		ms := patterns.MatchesFor(graphOf[b], b, opts.Patterns)
 		if opts.NoSequencing {
 			// Ablation: reverse the preference order.
 			for i, j := 0, len(ms)-1; i < j; i, j = i+1, j-1 {
 				ms[i], ms[j] = ms[j], ms[i]
 			}
 		}
-		s.matchTab[b] = ms
+		cs := make([]cand, len(ms))
+		for k, match := range ms {
+			// Each signature's component is estimated once, when it is
+			// interned: the table is then read-only and shared by every
+			// worker, and a node visit never estimates. Errors surface in
+			// depth-first order, through matchCost.
+			sig := sigOf(match)
+			id, ok := sigID[sig]
+			if !ok {
+				id = int32(len(s.costOf))
+				sigID[sig] = id
+				s.costOf = append(s.costOf, s.estimate(match))
+			}
+			blocks := make([]int32, len(match.Blocks))
+			for j, cov := range match.Blocks {
+				o, ok := ordOf[cov]
+				if !ok {
+					o = int32(len(ordOf))
+					ordOf[cov] = o
+				}
+				blocks[j] = o
+			}
+			cs[k] = cand{match: match, sig: id, blocks: blocks, lb: s.matchLB(match)}
+		}
+		s.matchTab[bi] = cs
 	}
+	s.initState(len(ordOf))
 	if opts.StrongBound {
-		s.computeBlockBounds()
+		s.computeBlockBounds(ordOf)
 	}
 	return s
 }
 
-func graphOf(m *vhif.Module, b *vhif.Block) *vhif.Graph {
-	for _, g := range m.Graphs {
-		for _, gb := range g.Blocks {
-			if gb == b {
-				return g
-			}
-		}
+// initState allocates the mutable exploration state for n block ordinals.
+// The capacities are final — a mapping allocates at most one component
+// and places at most one match per covered block — so no node visit grows
+// them.
+func (s *search) initState(n int) {
+	s.covered = make([]bool, n)
+	s.allocs = make([]alloc, 0, len(s.order))
+	s.placed = make([]placement, 0, n)
+	s.firstOf = make([]int32, len(s.costOf))
+	for i := range s.firstOf {
+		s.firstOf[i] = -1
 	}
-	return nil
 }
 
 const inf = 1e300
@@ -349,45 +389,75 @@ func SystemSpecFor(m *vhif.Module) estimate.SystemSpec {
 	return sys
 }
 
-// cellCost is the cached estimate of a dedicated component: layout area
-// and static power. ok is false for infeasible specifications.
+// cellCost is the estimate of a dedicated component: layout area and
+// static power, or the error of an infeasible specification.
 type cellCost struct {
 	area, power float64
-	ok          bool
+	err         error
+}
+
+// cand is one branching alternative of a block: a memoized pattern match
+// with its sharing signature interned to a dense ID (equal IDs mean equal
+// sigOf strings), the ordinals of the blocks it covers (in match order)
+// and its matchLB.
+type cand struct {
+	match  *patterns.Match
+	sig    int32
+	blocks []int32
+	lb     float64
 }
 
 // alloc is one allocated component shared by one or more placements.
 type alloc struct {
-	match *patterns.Match
-	sig   string
+	sig   int32
 	area  float64
 	power float64
 	uses  int
 	// cost is the objective value of the component (area or power).
 	cost float64
-	// placements records every match realized by this component; the first
-	// is the defining one, later ones alias their outputs onto it.
-	placements []*patterns.Match
 }
+
+// placement is one placed match and the index of the component in
+// search.allocs that realizes it.
+type placement struct {
+	match *patterns.Match
+	alloc int32
+}
+
+// mapping is a complete mapping: for each component, every match it
+// realizes, the defining one first; later ones alias their outputs onto it.
+type mapping [][]*patterns.Match
 
 // search carries the branch-and-bound state of one sequential exploration:
 // the whole tree for Workers == 1, or one subtree task inside a worker.
 type search struct {
-	m             uModule
-	opts          Options
+	m    uModule
+	opts Options
+	// order is the block visitation order; a block's index in it is its
+	// ordinal. Blocks outside the order that a match covers get the
+	// ordinals after it.
 	order         []*vhif.Block
 	floorGeneral  float64
 	floorDecision float64
-	// matchTab memoizes the candidate matches of each block in sequencing
+	// matchTab memoizes the candidates of each block ordinal in sequencing
 	// order. Read-only after newSearch; shared across workers.
-	matchTab map[*vhif.Block][]*patterns.Match
+	matchTab [][]cand
 
 	// Parallel coordination (nil/zero for the sequential search).
 	shared *sharedState
 	task   int // DFS index of this worker's subtree task
 
-	covered map[*vhif.Block]*alloc
-	allocs  []*alloc
+	// covered marks the covered block ordinals. allocs is the stack of
+	// allocated components and placed the stack of placements; both are
+	// preallocated to their maximum depth (initState), so the records are
+	// reused across branches and a node visit allocates nothing.
+	covered []bool
+	allocs  []alloc
+	placed  []placement
+	// firstOf is, per signature ID, the index of the lowest component on
+	// the allocs stack with that signature, or -1: the one findShared
+	// picks.
+	firstOf []int32
 	opamps  int
 	// floorGeneral/floorDecision are the per-op-amp objective floors (area
 	// in µm² or power in W) for general-purpose and decision-class cells;
@@ -400,7 +470,10 @@ type search struct {
 	lbArea float64
 
 	bestArea float64
-	best     []*alloc
+	// best is the incumbent, rewritten in place on each improvement;
+	// bestFlat backs its placement lists.
+	best     mapping
+	bestFlat []*patterns.Match
 	stats    Stats
 	err      error
 	done     bool // FirstFit: stop after the first complete mapping
@@ -412,13 +485,13 @@ type search struct {
 	// incumbent, not the proven optimum.
 	truncated bool
 
-	// costOf caches the estimated cost per match signature. Workers receive
-	// a fully precomputed table and must not write to it (frozenCost).
-	costOf     map[string]cellCost
-	frozenCost bool
-	// blockLB is the per-block fractional op amp lower bound used by the
-	// strong bounding rule; remainingLB its sum over uncovered blocks.
-	blockLB     map[*vhif.Block]float64
+	// costOf is the estimated cost per signature ID. Read-only after
+	// newSearch; shared across workers.
+	costOf []cellCost
+	// blockLB is the per-ordinal fractional op amp lower bound used by the
+	// strong bounding rule (nil without it); remainingLB its sum over
+	// uncovered blocks.
+	blockLB     []float64
 	remainingLB float64
 
 	root   *TreeNode
@@ -482,14 +555,17 @@ func isMappable(b *vhif.Block) bool {
 	return true
 }
 
-// nextUncovered returns the first block in order not yet covered.
-func (s *search) nextUncovered() *vhif.Block {
-	for _, b := range s.order {
-		if s.covered[b] == nil {
-			return b
+// nextUncovered returns the ordinal of the first block in order not yet
+// covered, or -1 when every block is. Every block before from must be
+// covered: a child of run passes its parent's current block, before which
+// placing a match cannot uncover anything.
+func (s *search) nextUncovered(from int) int {
+	for i := from; i < len(s.order); i++ {
+		if !s.covered[i] {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // minCostOf returns the class-aware per-op-amp objective floor for a cell.
@@ -508,39 +584,34 @@ func (s *search) matchLB(m *patterns.Match) float64 {
 
 // computeBlockBounds fills blockLB: for each block, the cheapest fractional
 // minimum area over all matches covering it. The sum over any block set is
-// a valid lower bound on the area of any covering (ignoring sharing).
-func (s *search) computeBlockBounds() {
-	s.blockLB = map[*vhif.Block]float64{}
-	for _, g := range s.m.Graphs {
-		for _, b := range g.Blocks {
-			if !isMappable(b) {
-				continue
-			}
-			s.blockLB[b] = inf
-		}
+// a valid lower bound on the area of any covering (ignoring sharing). The
+// fold runs over the memoized candidates: a minimum does not depend on the
+// candidate order. Blocks outside the visitation order keep 0 and never
+// count.
+func (s *search) computeBlockBounds(ordOf map[*vhif.Block]int32) {
+	s.blockLB = make([]float64, len(s.covered))
+	for i := range s.order {
+		s.blockLB[i] = inf
 	}
-	for _, g := range s.m.Graphs {
-		for _, b := range g.Blocks {
-			if !isMappable(b) {
-				continue
-			}
-			for _, m := range patterns.MatchesFor(g, b, s.opts.Patterns) {
-				frac := s.matchLB(m) / float64(len(m.Blocks))
-				for _, cov := range m.Blocks {
-					if frac < s.blockLB[cov] {
-						s.blockLB[cov] = frac
-					}
+	for _, cs := range s.matchTab {
+		for _, c := range cs {
+			frac := c.lb / float64(len(c.blocks))
+			for _, o := range c.blocks {
+				if frac < s.blockLB[o] {
+					s.blockLB[o] = frac
 				}
 			}
 		}
 	}
-	// Sum in graph order, not map order: float addition rounds, so a
-	// map-ordered sum would make the bound (and with it a borderline
-	// prune) vary run to run.
+	// Sum in graph order: float addition rounds, so the order is part of
+	// the bound (and with it of a borderline prune).
 	s.remainingLB = 0
 	for _, g := range s.m.Graphs {
 		for _, b := range g.Blocks {
-			if lb, ok := s.blockLB[b]; ok && lb < inf {
+			if !isMappable(b) {
+				continue
+			}
+			if lb := s.blockLB[ordOf[b]]; lb < inf {
 				s.remainingLB += lb
 			}
 		}
@@ -548,15 +619,15 @@ func (s *search) computeBlockBounds() {
 }
 
 // bound returns the minimum-area lower bound of completing the current
-// partial mapping after placing match: the class-aware minimum areas of the
-// op amps allocated so far, the candidate's, and (under the strong rule)
-// the fractional minimum of the still-uncovered blocks.
-func (s *search) bound(match *patterns.Match) float64 {
-	lb := s.lbArea + s.matchLB(match)
+// partial mapping after placing the candidate: the class-aware minimum areas
+// of the op amps allocated so far, the candidate's, and (under the strong
+// rule) the fractional minimum of the still-uncovered blocks.
+func (s *search) bound(c *cand) float64 {
+	lb := s.lbArea + c.lb
 	if s.opts.StrongBound && s.blockLB != nil {
 		rest := s.remainingLB
-		for _, b := range match.Blocks {
-			if v := s.blockLB[b]; v < inf && s.covered[b] == nil {
+		for _, o := range c.blocks {
+			if v := s.blockLB[o]; v < inf && !s.covered[o] {
 				rest -= v
 			}
 		}
@@ -618,134 +689,162 @@ func (s *search) shouldPrune(lb float64) bool {
 	return lb >= s.bestArea
 }
 
-func (s *search) run() {
+// run explores the subtree below the current partial mapping, in which
+// every block ordinal before from is covered.
+func (s *search) run(from int) {
 	if s.done {
 		return
 	}
 	if !s.visit() {
 		return
 	}
-	cur := s.nextUncovered()
-	if cur == nil {
+	cur := s.nextUncovered(from)
+	if cur < 0 {
 		s.complete()
 		return
 	}
 	// NOTE: the branch enumeration below (candidate order, conflict and
 	// feasibility filters, share-before-alloc) is mirrored by the parallel
 	// splitter's expand() in parallel.go; keep the two in sync.
-	for _, match := range s.matchTab[cur] {
-		if s.conflicts(match) {
+	cands := s.matchTab[cur]
+	for i := range cands {
+		c := &cands[i]
+		if s.conflicts(c) {
 			continue
 		}
-		cost, ok := s.matchCost(match)
+		cost, ok := s.matchCost(c)
 		if !ok {
 			continue
 		}
 		// Sharing branch: reuse an identical component in the netlist.
 		if !s.opts.NoSharing {
-			if existing := s.findShared(match); existing != nil {
-				s.place(match, existing, 0)
-				s.descend(match, "share "+match.Name, func() { s.run() })
-				s.unplace(match, existing, 0)
+			if existing := s.findShared(c); existing >= 0 {
+				s.place(c, existing, 0)
+				s.descend(c, true, cur)
+				s.unplace(c, existing, 0)
 			}
 		}
 		// Dedicated allocation with the bounding rule.
-		if !s.opts.NoBounding && s.shouldPrune(s.bound(match)) {
+		if !s.opts.NoBounding && s.shouldPrune(s.bound(c)) {
 			s.stats.Pruned++
 			if s.cursor != nil {
 				s.cursor.Children = append(s.cursor.Children, &TreeNode{
-					Block:    cur.Name,
-					Decision: "alloc " + match.Name,
-					OpAmps:   s.opamps + match.OpAmps,
+					Block:    s.order[cur].Name,
+					Decision: "alloc " + c.match.Name,
+					OpAmps:   s.opamps + c.match.OpAmps,
 					Pruned:   true,
 				})
 			}
 			continue
 		}
-		a := &alloc{match: match, sig: sigOf(match), area: cost.area, power: cost.power, cost: cost.area}
-		if s.opts.Objective == MinimizePower {
-			a.cost = cost.power
-		}
-		s.allocs = append(s.allocs, a)
-		s.place(match, a, match.OpAmps)
-		s.descend(match, "alloc "+match.Name, func() { s.run() })
-		s.unplace(match, a, match.OpAmps)
-		s.allocs = s.allocs[:len(s.allocs)-1]
+		a := s.push(c, cost)
+		s.place(c, a, c.match.OpAmps)
+		s.descend(c, false, cur)
+		s.unplace(c, a, c.match.OpAmps)
+		s.pop()
 	}
 }
 
-// descend wraps recursion with decision-tree tracing.
-func (s *search) descend(match *patterns.Match, decision string, f func()) {
+// descend recurses into the branch just placed, recording it in the traced
+// decision tree when tracing is on.
+func (s *search) descend(c *cand, share bool, from int) {
 	if s.cursor == nil {
-		f()
+		s.run(from)
 		return
 	}
-	node := &TreeNode{Block: match.Root.Name, Decision: decision, OpAmps: s.opamps}
+	decision := "alloc " + c.match.Name
+	if share {
+		decision = "share " + c.match.Name
+	}
+	node := &TreeNode{Block: c.match.Root.Name, Decision: decision, OpAmps: s.opamps}
 	s.cursor.Children = append(s.cursor.Children, node)
 	saved := s.cursor
 	s.cursor = node
-	f()
+	s.run(from)
 	s.cursor = saved
 }
 
-func (s *search) conflicts(match *patterns.Match) bool {
-	for _, b := range match.Blocks {
-		if s.covered[b] != nil {
+func (s *search) conflicts(c *cand) bool {
+	for _, o := range c.blocks {
+		if s.covered[o] {
 			return true
 		}
 	}
 	return false
 }
 
-func (s *search) place(match *patterns.Match, a *alloc, opamps int) {
-	for _, b := range match.Blocks {
-		s.covered[b] = a
+// push allocates a dedicated component for the candidate on top of the
+// allocs stack and returns its index.
+func (s *search) push(c *cand, cost cellCost) int32 {
+	a := alloc{sig: c.sig, area: cost.area, power: cost.power, cost: cost.area}
+	if s.opts.Objective == MinimizePower {
+		a.cost = cost.power
+	}
+	i := int32(len(s.allocs))
+	s.allocs = append(s.allocs, a)
+	if s.firstOf[c.sig] < 0 {
+		s.firstOf[c.sig] = i
+	}
+	return i
+}
+
+// pop removes the component on top of the allocs stack.
+func (s *search) pop() {
+	i := int32(len(s.allocs) - 1)
+	if sig := s.allocs[i].sig; s.firstOf[sig] == i {
+		s.firstOf[sig] = -1
+	}
+	s.allocs = s.allocs[:i]
+}
+
+// place realizes the candidate with component a (an index into allocs),
+// adding opamps to the partial mapping (0 for a shared component).
+func (s *search) place(c *cand, a int32, opamps int) {
+	for _, o := range c.blocks {
+		s.covered[o] = true
 		if s.blockLB != nil {
-			if v := s.blockLB[b]; v < inf {
+			if v := s.blockLB[o]; v < inf {
 				s.remainingLB -= v
 			}
 		}
 	}
-	a.uses++
-	a.placements = append(a.placements, match)
+	s.allocs[a].uses++
+	s.placed = append(s.placed, placement{match: c.match, alloc: a})
 	s.opamps += opamps
 	if opamps > 0 {
-		s.lbArea += s.matchLB(match)
+		s.lbArea += c.lb
 	}
 }
 
-func (s *search) unplace(match *patterns.Match, a *alloc, opamps int) {
-	for _, b := range match.Blocks {
-		delete(s.covered, b)
+func (s *search) unplace(c *cand, a int32, opamps int) {
+	for _, o := range c.blocks {
+		s.covered[o] = false
 		if s.blockLB != nil {
-			if v := s.blockLB[b]; v < inf {
+			if v := s.blockLB[o]; v < inf {
 				s.remainingLB += v
 			}
 		}
 	}
-	a.uses--
-	a.placements = a.placements[:len(a.placements)-1]
+	s.allocs[a].uses--
+	s.placed = s.placed[:len(s.placed)-1]
 	s.opamps -= opamps
 	if opamps > 0 {
-		s.lbArea -= s.matchLB(match)
+		s.lbArea -= c.lb
 	}
 }
 
 // findShared locates an existing allocation with the same pattern,
 // parameters and input nets ("blocks in distinct signal paths can share the
 // same component, if they have identical inputs, and perform similar
-// operations").
-func (s *search) findShared(match *patterns.Match) *alloc {
-	sig := sigOf(match)
-	for _, a := range s.allocs {
-		if a.uses > 0 && a.sig == sig {
-			return a
-		}
-	}
-	return nil
+// operations"): the lowest component with the candidate's signature ID.
+// Every component on the stack has a placement, so that is the first one
+// a scan of the stack would find. It returns the index, or -1.
+func (s *search) findShared(c *cand) int32 {
+	return s.firstOf[c.sig]
 }
 
 // sigOf builds the sharing signature: pattern, parameters, inputs, control.
+// newSearch interns it once per match.
 func sigOf(m *patterns.Match) string {
 	var b strings.Builder
 	b.WriteString(m.Name)
@@ -768,13 +867,22 @@ func sigOf(m *patterns.Match) string {
 	return b.String()
 }
 
-// matchCost estimates (and caches) the area and power of a dedicated
-// component for the match; infeasible specs reject the match.
-func (s *search) matchCost(match *patterns.Match) (cellCost, bool) {
-	sig := sigOf(match)
-	if c, ok := s.costOf[sig]; ok {
-		return c, c.ok
+// matchCost returns the cost of a dedicated component for the candidate;
+// infeasible specs reject it. The first rejection the search meets, in
+// depth-first order, becomes its error.
+func (s *search) matchCost(c *cand) (cellCost, bool) {
+	cost := s.costOf[c.sig]
+	if cost.err != nil {
+		if s.err == nil {
+			s.err = cost.err
+		}
+		return cellCost{}, false
 	}
+	return cost, true
+}
+
+// estimate sizes a dedicated component for the match.
+func (s *search) estimate(match *patterns.Match) cellCost {
 	inst := estimate.CellInstance{
 		Cell:    match.Cell,
 		Gain:    maxGain(match),
@@ -784,23 +892,14 @@ func (s *search) matchCost(match *patterns.Match) (cellCost, bool) {
 	}
 	est, err := estimate.EstimateCell(s.opts.Process, s.opts.System, inst)
 	if err != nil {
-		if !s.frozenCost {
-			s.costOf[sig] = cellCost{}
-		}
-		if s.err == nil {
-			s.err = err
-		}
-		return cellCost{}, false
+		return cellCost{err: err}
 	}
-	cost := cellCost{area: est.AreaUm2, power: est.Power, ok: true}
+	cost := cellCost{area: est.AreaUm2, power: est.Power}
 	if n := match.Params["stages"]; n > 1 {
 		cost.area *= n
 		cost.power *= n
 	}
-	if !s.frozenCost {
-		s.costOf[sig] = cost
-	}
-	return cost, true
+	return cost
 }
 
 func maxGain(m *patterns.Match) float64 {
@@ -822,7 +921,8 @@ func maxGain(m *patterns.Match) float64 {
 func (s *search) complete() {
 	s.stats.CompleteMappings++
 	area, power, cost := 0.0, 0.0, 0.0
-	for _, a := range s.allocs {
+	for i := range s.allocs {
+		a := &s.allocs[i]
 		area += a.area
 		power += a.power
 		cost += a.cost
@@ -861,27 +961,39 @@ func (s *search) complete() {
 	}
 	if cost < s.bestArea {
 		s.bestArea = cost
-		s.best = make([]*alloc, len(s.allocs))
-		for i, a := range s.allocs {
-			// Snapshot: allocations are mutated on backtrack.
-			cp := *a
-			cp.placements = append([]*patterns.Match{}, a.placements...)
-			s.best[i] = &cp
-		}
+		s.snapshot()
 	}
 }
 
-// buildNetlist materializes a completed allocation list as a component
-// netlist.
-func (s *search) buildNetlist(allocs []*alloc) (*netlist.Netlist, error) {
+// snapshot copies the current mapping into best. The buffers are sized
+// once, for the largest possible mapping, and then rewritten in place.
+func (s *search) snapshot() {
+	if s.best == nil {
+		s.best = make(mapping, 0, cap(s.allocs))
+		s.bestFlat = make([]*patterns.Match, cap(s.placed))
+	}
+	s.best = s.best[:len(s.allocs)]
+	off := 0
+	for i := range s.allocs {
+		n := s.allocs[i].uses
+		s.best[i] = s.bestFlat[off : off : off+n]
+		off += n
+	}
+	for _, p := range s.placed {
+		s.best[p.alloc] = append(s.best[p.alloc], p.match)
+	}
+}
+
+// buildNetlist materializes a complete mapping as a component netlist.
+func (s *search) buildNetlist(best mapping) (*netlist.Netlist, error) {
 	nl := netlist.New(s.m.Name)
 
 	// Shared placements beyond the first compute the same value as the
 	// defining placement: canonicalize their output nets onto it.
 	canon := map[*vhif.Net]*vhif.Net{}
-	for _, a := range allocs {
-		for _, m := range a.placements[1:] {
-			canon[m.Root.Out] = a.placements[0].Root.Out
+	for _, placements := range best {
+		for _, m := range placements[1:] {
+			canon[m.Root.Out] = placements[0].Root.Out
 		}
 	}
 	resolve := func(v *vhif.Net) *vhif.Net {
@@ -923,8 +1035,8 @@ func (s *search) buildNetlist(allocs []*alloc) (*netlist.Netlist, error) {
 		}
 	}
 
-	for _, a := range allocs {
-		m := a.placements[0]
+	for _, placements := range best {
+		m := placements[0]
 		var ins []*netlist.Net
 		for _, in := range m.Inputs {
 			ins = append(ins, netFor(in))
@@ -937,7 +1049,7 @@ func (s *search) buildNetlist(allocs []*alloc) (*netlist.Netlist, error) {
 		if m.Ctrl != nil {
 			comp.Ctrl = netFor(m.Ctrl)
 		}
-		if len(a.placements) > 1 {
+		if len(placements) > 1 {
 			comp.Shared = true
 		}
 	}

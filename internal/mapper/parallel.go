@@ -28,8 +28,6 @@ package mapper
 import (
 	"sync"
 	"sync/atomic"
-
-	"vase/internal/vhif"
 )
 
 const (
@@ -129,39 +127,33 @@ type splitTask struct {
 
 // fork clones the search's read-only tables into a fresh exploration state.
 func (s *search) fork() *search {
-	return &search{
+	w := &search{
 		m:             s.m,
 		opts:          s.opts,
 		order:         s.order,
 		floorGeneral:  s.floorGeneral,
 		floorDecision: s.floorDecision,
 		matchTab:      s.matchTab,
-		covered:       make(map[*vhif.Block]*alloc, len(s.order)),
 		costOf:        s.costOf,
-		frozenCost:    true,
 		bestArea:      inf,
 		blockLB:       s.blockLB,
 		remainingLB:   s.remainingLB,
 		cancel:        s.cancel,
 	}
+	w.initState(len(s.covered))
+	return w
 }
 
 // applyStep replays one prefix decision, reproducing exactly the placement
 // run() would have performed on that branch.
 func (w *search) applyStep(st pathStep) {
-	cur := w.nextUncovered()
-	match := w.matchTab[cur][st.matchIdx]
+	c := &w.matchTab[w.nextUncovered(0)][st.matchIdx]
 	if st.share {
-		w.place(match, w.findShared(match), 0)
+		w.place(c, w.findShared(c), 0)
 		return
 	}
-	cost, _ := w.matchCost(match)
-	a := &alloc{match: match, sig: sigOf(match), area: cost.area, power: cost.power, cost: cost.area}
-	if w.opts.Objective == MinimizePower {
-		a.cost = cost.power
-	}
-	w.allocs = append(w.allocs, a)
-	w.place(match, a, match.OpAmps)
+	cost, _ := w.matchCost(c)
+	w.place(c, w.push(c, cost), c.match.OpAmps)
 }
 
 // expandSteps enumerates the branching decisions available at the replayed
@@ -169,19 +161,21 @@ func (w *search) applyStep(st pathStep) {
 // before dedicated allocation). No bounding is applied: the splitter runs
 // before any complete mapping exists, so the incumbent is infinite.
 func (w *search) expandSteps() []pathStep {
-	cur := w.nextUncovered()
-	if cur == nil {
+	cur := w.nextUncovered(0)
+	if cur < 0 {
 		return nil
 	}
 	var steps []pathStep
-	for i, match := range w.matchTab[cur] {
-		if w.conflicts(match) {
+	cands := w.matchTab[cur]
+	for i := range cands {
+		c := &cands[i]
+		if w.conflicts(c) {
 			continue
 		}
-		if _, ok := w.matchCost(match); !ok {
+		if _, ok := w.matchCost(c); !ok {
 			continue
 		}
-		if !w.opts.NoSharing && w.findShared(match) != nil {
+		if !w.opts.NoSharing && w.findShared(c) >= 0 {
 			steps = append(steps, pathStep{matchIdx: i, share: true})
 		}
 		steps = append(steps, pathStep{matchIdx: i, share: false})
@@ -221,11 +215,11 @@ func (s *search) split(target int) []*splitTask {
 			}
 			s.stats.NodesVisited++ // the expanded interior node
 			grew = true
-			cur := w.nextUncovered()
+			cur := w.nextUncovered(0)
 			for _, st := range steps {
 				child := &splitTask{path: append(append([]pathStep{}, t.path...), st)}
 				if t.node != nil {
-					match := w.matchTab[cur][st.matchIdx]
+					match := w.matchTab[cur][st.matchIdx].match
 					decision, opamps := "alloc "+match.Name, w.opamps+match.OpAmps
 					if st.share {
 						decision, opamps = "share "+match.Name, w.opamps
@@ -254,7 +248,7 @@ func (s *search) runTask(t *splitTask, idx int, shared *sharedState) *search {
 	for _, st := range t.path {
 		w.applyStep(st)
 	}
-	w.run()
+	w.run(0)
 	return w
 }
 
@@ -262,12 +256,11 @@ func (s *search) runTask(t *splitTask, idx int, shared *sharedState) *search {
 // bounded worker pool, and reduce deterministically in task order.
 func (s *search) runParallel() {
 	workers := s.opts.Workers
-	// Precompute every candidate cost in deterministic order so workers
-	// share a frozen read-only cache (and the first estimation error, if
-	// any, does not depend on scheduling).
-	for _, b := range s.order {
-		for _, m := range s.matchTab[b] {
-			s.matchCost(m)
+	// Visit every candidate cost in deterministic order so the first
+	// estimation error, if any, does not depend on scheduling.
+	for _, cands := range s.matchTab {
+		for i := range cands {
+			s.matchCost(&cands[i])
 		}
 	}
 	target := workers * tasksPerWorker
